@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"lhg"
+	"lhg/internal/check"
 	"lhg/internal/classic"
 	"lhg/internal/core"
 	"lhg/internal/faultnet"
@@ -214,16 +215,16 @@ func BenchmarkVerifyDense(b *testing.B) {
 	props := lhg.PropNodeConnectivity | lhg.PropLinkConnectivity | lhg.PropDiameter
 	for _, tc := range []struct {
 		name     string
-		sparsify bool
+		sparsify check.Policy
 	}{
-		{"full", false},
-		{"sparsified", true},
+		{"full", check.Off},
+		{"sparsified", check.Auto},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := lhg.Verify(context.Background(), g, k,
-					lhg.WithProperties(props), lhg.WithSparsify(tc.sparsify))
+				r, err := check.Verify(context.Background(), g, k,
+					check.Options{Props: props, Sparsify: tc.sparsify})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -244,7 +245,7 @@ func BenchmarkVerifyParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := lhg.VerifyParallel(g, 4, 0)
+				r, err := lhg.Verify(context.Background(), g, 4, lhg.WithWorkers(0))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -289,16 +290,28 @@ func BenchmarkBFSSteadyState(b *testing.B) {
 // BenchmarkEdgeProbeSteadyState measures one P3 removal probe — two
 // single-pair max flows on the masked CSR view. With the network pool warm
 // it runs without allocating (0 allocs/op); this is the per-edge cost of
-// verifyLinkMinimality.
+// verifyLinkMinimality on an edge the degree shortcut cannot settle.
 func BenchmarkEdgeProbeSteadyState(b *testing.B) {
-	g := buildOrFatal(b, lhg.KDiamond, 1024, 4)
-	e := g.Edges()[0]
-	sinkBool = flow.EdgeIsRemovable(g, e, 4, 4) // warm the network pool
+	g, e := edgeProbeFixture(b)
+	ctx := context.Background()
+	sinkBool, _ = flow.EdgeIsRemovable(ctx, g, e, edgeProbeBar, edgeProbeBar) // warm the network pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkBool = flow.EdgeIsRemovable(g, e, 4, 4)
+		sinkBool, _ = flow.EdgeIsRemovable(ctx, g, e, edgeProbeBar, edgeProbeBar)
 	}
+}
+
+// edgeProbeBar is the κ/λ bar of the edge-probe benchmarks. K-DIAMOND
+// (1024, 4) has no edge whose endpoints both exceed degree 4, so at bar 4
+// the degree shortcut answers every probe without a flow; at bar 3 it
+// never fires, and each probe runs both max flows (the edge flow reaches
+// 3, so the vertex flow follows).
+const edgeProbeBar = 3
+
+func edgeProbeFixture(b *testing.B) (*graph.Graph, graph.Edge) {
+	g := buildOrFatal(b, lhg.KDiamond, 1024, 4)
+	return g, g.Edges()[0]
 }
 
 // BenchmarkBFSSteadyStateMetricsOn is BenchmarkBFSSteadyState with the
@@ -323,9 +336,10 @@ func BenchmarkBFSSteadyStateMetricsOn(b *testing.B) {
 // with the metrics sink enabled: per-probe counters on the hottest
 // verification path (a handful of atomic adds per probe, 0 allocs/op).
 func BenchmarkEdgeProbeSteadyStateMetricsOn(b *testing.B) {
-	g := buildOrFatal(b, lhg.KDiamond, 1024, 4)
-	e := g.Edges()[0]
-	sinkBool = flow.EdgeIsRemovable(g, e, 4, 4) // warm the network pool
+	g, e := edgeProbeFixture(b)
+	ctx := context.Background()
+	sinkBool, _ = flow.EdgeIsRemovable(ctx, g, e, edgeProbeBar, edgeProbeBar) // warm the network pool
+	lhg.ResetMetrics()
 	lhg.EnableMetrics()
 	defer func() {
 		lhg.DisableMetrics()
@@ -334,7 +348,11 @@ func BenchmarkEdgeProbeSteadyStateMetricsOn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkBool = flow.EdgeIsRemovable(g, e, 4, 4)
+		sinkBool, _ = flow.EdgeIsRemovable(ctx, g, e, edgeProbeBar, edgeProbeBar)
+	}
+	b.StopTimer()
+	if got, want := lhg.MetricsCounters()["flow.maxflow.probes"], int64(2*b.N); got != want {
+		b.Fatalf("flow.maxflow.probes moved by %d over %d probes, want %d (two max flows each)", got, b.N, want)
 	}
 }
 
@@ -366,12 +384,15 @@ func TestSteadyStateProbesAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := g.Edges()[0]
-	sinkBool = g.Connected()                    // warm the BFS scratch pool
-	sinkBool = flow.EdgeIsRemovable(g, e, 4, 4) // warm the network pool
+	ctx := context.Background()
+	sinkBool = g.Connected()                                                  // warm the BFS scratch pool
+	sinkBool, _ = flow.EdgeIsRemovable(ctx, g, e, edgeProbeBar, edgeProbeBar) // warm the network pool
 	if avg := testing.AllocsPerRun(50, func() { sinkBool = g.Connected() }); avg != 0 {
 		t.Fatalf("steady-state BFS allocates %.1f times per run, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(50, func() { sinkBool = flow.EdgeIsRemovable(g, e, 4, 4) }); avg != 0 {
+	if avg := testing.AllocsPerRun(50, func() {
+		sinkBool, _ = flow.EdgeIsRemovable(ctx, g, e, edgeProbeBar, edgeProbeBar)
+	}); avg != 0 {
 		t.Fatalf("steady-state edge probe allocates %.1f times per run, want 0", avg)
 	}
 }
@@ -538,7 +559,7 @@ func BenchmarkConnectivity(b *testing.B) {
 	g := buildOrFatal(b, lhg.KDiamond, 128, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkInt = flow.VertexConnectivity(g)
+		sinkInt, _ = flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints)
 	}
 }
 

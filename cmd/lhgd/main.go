@@ -93,7 +93,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		timeout   = fs.Duration("timeout", 2*time.Minute, "per-computation deadline; exceeding it returns 504 (0 = no limit)")
 		metrics   = fs.Bool("metrics", false, "dump the JSON metrics report to stderr at exit")
 		httpAddr  = fs.String("http", "", "serve /debug/vars, /metrics and /debug/pprof/ on this extra address")
-		sparsify  = fs.Bool("sparsify", true, "probe κ/λ on a sparse certificate when the graph is dense enough (results are identical; off = escape hatch)")
 		sessions  = fs.Int("sessions", 0, "max live /v1/reconfigure topology sessions (0 = default 1024, negative disables the endpoint)")
 		notrace   = fs.Bool("notrace", false, "disable request tracing (on by default: X-Trace-Id responses, traceparent joins, /debug/trace export)")
 		verbose   = fs.Bool("v", false, "debug-level logging (per-request access lines)")
@@ -131,7 +130,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		CacheSize:       *cache,
 		Workers:         *workers,
 		Timeout:         *timeout,
-		DisableSparsify: !*sparsify,
 		MaxSessions:     *sessions,
 		Logger:          logger,
 		StreamHeartbeat: *heartbeat,
@@ -172,6 +170,16 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	return d.Shutdown()
 }
 
+// shutdownGrace is how long Shutdown lets in-flight requests drain before
+// it closes every connection. readHeaderTimeout sits below it, so a
+// connection that was dialed but never sent a request (clients pre-dial
+// during bursts, and net/http counts such a connection as active for 5 s)
+// is closed by the server within the grace.
+const (
+	shutdownGrace     = 5 * time.Second
+	readHeaderTimeout = 2 * time.Second
+)
+
 // daemon is one running HTTP server; tests drive it directly to get the
 // bound address without scraping logs.
 type daemon struct {
@@ -194,8 +202,9 @@ func startDaemon(ctx context.Context, opts serve.Options, addr string) (*daemon,
 	d := &daemon{
 		ln: ln,
 		srv: &http.Server{
-			Handler:     serve.New(opts).Handler(),
-			BaseContext: func(net.Listener) context.Context { return ctx },
+			Handler:           serve.New(opts).Handler(),
+			BaseContext:       func(net.Listener) context.Context { return ctx },
+			ReadHeaderTimeout: readHeaderTimeout,
 		},
 		served: make(chan error, 1),
 	}
@@ -206,12 +215,15 @@ func startDaemon(ctx context.Context, opts serve.Options, addr string) (*daemon,
 // Addr returns the bound listen address (host:port).
 func (d *daemon) Addr() string { return d.ln.Addr().String() }
 
-// Shutdown drains in-flight requests for up to five seconds, then closes
-// the server hard.
+// Shutdown drains in-flight requests for up to shutdownGrace, then closes
+// the server hard and reports the expired grace.
 func (d *daemon) Shutdown() error {
-	grace, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	err := d.srv.Shutdown(grace)
+	if err != nil {
+		d.srv.Close()
+	}
 	if serveErr := <-d.served; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
 		return serveErr
 	}

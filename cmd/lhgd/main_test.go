@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -244,6 +245,46 @@ func TestGracefulShutdown(t *testing.T) {
 	if _, err := http.Post("http://"+addr+"/v1/build", "application/json",
 		bytes.NewBufferString(`{}`)); err == nil {
 		t.Fatal("daemon still accepting connections after shutdown")
+	}
+}
+
+// TestShutdownClosesIdlePredialedConns parks connections that were dialed
+// but never sent a request, the way a client pool pre-dials during a
+// burst. net/http counts them as active for 5 s, as long as the grace, so
+// Shutdown must close them through the header deadline and return nil
+// well inside the grace.
+func TestShutdownClosesIdlePredialedConns(t *testing.T) {
+	ctx, stop := context.WithCancel(context.Background())
+	d, err := startDaemon(ctx, serve.Options{CacheSize: 4}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("startDaemon: %v", err)
+	}
+	if status := post(t, "http://"+d.Addr()+"/v1/build", `{"constraint":"ktree","n":8,"k":3}`, nil); status != http.StatusOK {
+		t.Fatalf("pre-shutdown build: status %d", status)
+	}
+	var parked []net.Conn
+	for i := 0; i < 4; i++ {
+		c, err := net.Dial("tcp", d.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		parked = append(parked, c)
+	}
+	time.Sleep(100 * time.Millisecond) // let the server accept them
+	stop()
+	start := time.Now()
+	if err := d.Shutdown(); err != nil {
+		t.Fatalf("shutdown with %d idle pre-dialed connections: %v", len(parked), err)
+	}
+	if took := time.Since(start); took >= shutdownGrace {
+		t.Fatalf("shutdown took %v, the whole grace", took)
+	}
+	for i, c := range parked {
+		c.SetReadDeadline(time.Now().Add(time.Second))
+		if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("parked connection %d: read err = %v, want EOF (closed by the server)", i, err)
+		}
 	}
 }
 

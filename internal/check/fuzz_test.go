@@ -97,18 +97,18 @@ func FuzzVerifySparseEquivFull(f *testing.F) {
 		}
 		g := fuzzGraph(n, seed, mut)
 		ctx := context.Background()
-		ref, err := VerifyCtx(ctx, g, k, Options{Workers: 1, Sparsify: SparsifyOff})
+		ref, err := Verify(ctx, g, k, Options{Workers: 1, Sparsify: Off})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := reportCore(ref)
 		for _, opt := range []Options{
-			{Workers: 1, Sparsify: SparsifyAlways},
-			{Workers: 4, Sparsify: SparsifyAlways},
-			{Workers: 4, Sparsify: SparsifyOff},
-			{Workers: 1, Sparsify: SparsifyAuto},
+			{Workers: 1, Sparsify: Always},
+			{Workers: 4, Sparsify: Always},
+			{Workers: 4, Sparsify: Off},
+			{Workers: 1, Sparsify: Auto},
 		} {
-			r, err := VerifyCtx(ctx, g, k, opt)
+			r, err := Verify(ctx, g, k, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,11 +117,11 @@ func FuzzVerifySparseEquivFull(f *testing.F) {
 					n, k, seed, mut, opt, got, want)
 			}
 		}
-		qOff, err := QuickVerifyOpts(ctx, g, k, Options{Sparsify: SparsifyOff})
+		qOff, err := QuickVerify(ctx, g, k, Options{Sparsify: Off})
 		if err != nil {
 			t.Fatal(err)
 		}
-		qOn, err := QuickVerifyOpts(ctx, g, k, Options{Sparsify: SparsifyAlways})
+		qOn, err := QuickVerify(ctx, g, k, Options{Sparsify: Always})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func FuzzVerifyDeltaEquivFull(f *testing.F) {
 			k = 1 + ((k%(m-1))+(m-1))%(m-1)
 		}
 		ctx := context.Background()
-		prev, err := VerifyCtx(ctx, g, k, Options{Workers: 1})
+		prev, err := Verify(ctx, g, k, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func FuzzVerifyDeltaEquivFull(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := VerifyCtx(ctx, next, k, Options{Workers: 1})
+		want, err := Verify(ctx, next, k, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,19 +247,19 @@ func FuzzVerifyPrescreenEquivFull(f *testing.F) {
 		}
 		g := fuzzGraph(n, seed, mut)
 		ctx := context.Background()
-		ref, err := VerifyCtx(ctx, g, k, Options{Workers: 1, Prescreen: PrescreenOff})
+		ref, err := Verify(ctx, g, k, Options{Workers: 1, Prescreen: Off})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := reportCore(ref)
 		for _, opt := range []Options{
-			{Workers: 1, Prescreen: PrescreenAlways},
-			{Workers: 4, Prescreen: PrescreenAlways},
-			{Workers: 4, Prescreen: PrescreenOff},
-			{Workers: 1, Prescreen: PrescreenAuto},
-			{Workers: 1, Prescreen: PrescreenAlways, Sparsify: SparsifyAlways},
+			{Workers: 1, Prescreen: Always},
+			{Workers: 4, Prescreen: Always},
+			{Workers: 4, Prescreen: Off},
+			{Workers: 1, Prescreen: Auto},
+			{Workers: 1, Prescreen: Always, Sparsify: Always},
 		} {
-			r, err := VerifyCtx(ctx, g, k, opt)
+			r, err := Verify(ctx, g, k, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,11 +268,11 @@ func FuzzVerifyPrescreenEquivFull(f *testing.F) {
 					n, k, seed, mut, opt, got, want)
 			}
 		}
-		qOff, err := QuickVerifyOpts(ctx, g, k, Options{Prescreen: PrescreenOff})
+		qOff, err := QuickVerify(ctx, g, k, Options{Prescreen: Off})
 		if err != nil {
 			t.Fatal(err)
 		}
-		qOn, err := QuickVerifyOpts(ctx, g, k, Options{Prescreen: PrescreenAlways})
+		qOn, err := QuickVerify(ctx, g, k, Options{Prescreen: Always})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,12 +153,12 @@ func TestVerifyAgainstOracles(t *testing.T) {
 			wantLambda = 0 // λ is 0 by definition when disconnected
 		}
 		for _, opt := range []Options{
-			{Workers: 1, Sparsify: SparsifyOff},
-			{Workers: 1, Sparsify: SparsifyAlways},
-			{Workers: 4, Sparsify: SparsifyOff},
-			{Workers: 4, Sparsify: SparsifyAlways},
+			{Workers: 1, Sparsify: Off},
+			{Workers: 1, Sparsify: Always},
+			{Workers: 4, Sparsify: Off},
+			{Workers: 4, Sparsify: Always},
 		} {
-			r, err := VerifyCtx(ctx, g, 1, opt)
+			r, err := Verify(ctx, g, 1, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

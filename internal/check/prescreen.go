@@ -39,7 +39,7 @@ var (
 // PrescreenCutoff is the node-count threshold of the automatic prescreen:
 // below it a contraction round costs more bookkeeping than the probe it
 // might early-exit, so small graphs keep the historical path (the
-// differential fuzz target forces PrescreenAlways to cover them anyway).
+// differential fuzz target forces Always to cover them anyway).
 const PrescreenCutoff = 512
 
 // prescreenSeed fixes the Karger RNG stream: the prescreen must be a pure
@@ -47,14 +47,14 @@ const PrescreenCutoff = 512
 const prescreenSeed = 0x6c68672d70726573 // "lhg-pres"
 
 // prescreenEligible mirrors sparsifyEligible for the prescreen policy.
-func prescreenEligible(g *graph.Graph, policy Prescreen) bool {
-	if policy == PrescreenOff {
+func prescreenEligible(g *graph.Graph, policy Policy) bool {
+	if policy == Off {
 		return false
 	}
 	if g.Order() < 4 || g.Size() == 0 {
 		return false
 	}
-	return policy == PrescreenAlways || g.Order() >= PrescreenCutoff
+	return policy == Always || g.Order() >= PrescreenCutoff
 }
 
 // splitmix64 advances the seed and returns the next value of the splitmix64

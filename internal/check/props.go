@@ -85,69 +85,38 @@ func (p Properties) String() string {
 	return strings.Join(parts, "|")
 }
 
-// Sparsify selects the sparse-certificate policy for the κ/λ probe phases
-// (see SparseProbeView). The zero value is the automatic fast path, so the
-// zero Options keeps sparsification on by default.
-type Sparsify uint8
+// Policy selects when an optional, result-preserving fast path of the κ/λ
+// probe phases runs: the sparse certificate (Options.Sparsify, see
+// SparseProbeView) or the Monte Carlo cut prescreen (Options.Prescreen,
+// see prescreenHints). Neither path changes any reported value or
+// verdict. The zero value is the automatic policy, so the zero Options
+// keeps both fast paths on where they pay for themselves.
+type Policy uint8
 
 const (
-	// SparsifyAuto probes a Nagamochi–Ibaraki certificate instead of the
-	// full edge set whenever the graph is dense enough for the certificate
-	// to pay for itself (m > SparsifyCutoff·k·n and the certificate is
-	// strictly smaller than the graph). This is the default.
-	SparsifyAuto Sparsify = iota
-	// SparsifyOff always probes the full edge set — the escape hatch and
-	// the reference side of the differential tests.
-	SparsifyOff
-	// SparsifyAlways probes the certificate regardless of density. Meant
-	// for tests that must exercise the sparsified path on small inputs;
-	// production callers should stay on SparsifyAuto.
-	SparsifyAlways
+	// Auto runs the fast path when the input is large or dense enough for
+	// it to pay for itself: m > SparsifyCutoff·k·n (and a strictly smaller
+	// certificate) for sparsification, n >= PrescreenCutoff for the
+	// prescreen. This is the default.
+	Auto Policy = iota
+	// Off never runs the fast path: the reference side of the
+	// differential tests.
+	Off
+	// Always runs the fast path regardless of size, so tests can exercise
+	// it on small inputs.
+	Always
 )
 
-func (s Sparsify) String() string {
-	switch s {
-	case SparsifyAuto:
-		return "auto"
-	case SparsifyOff:
-		return "off"
-	case SparsifyAlways:
-		return "always"
-	}
-	return "sparsify(?)"
-}
-
-// Prescreen selects the Monte Carlo cut-prescreen policy for the κ/λ probe
-// phases (see prescreenHints): seeded Karger contraction rounds that find
-// real (certified) small cuts before the exact sweeps run. The prescreen
-// only tightens early-exit limits and reorders probes — the values and
-// verdicts it feeds into stay exact — so, like Sparsify, it never changes
-// any reported field.
-type Prescreen uint8
-
-const (
-	// PrescreenAuto runs the contraction rounds when the graph is large
-	// enough for them to pay for themselves (n >= PrescreenCutoff). This is
-	// the default.
-	PrescreenAuto Prescreen = iota
-	// PrescreenOff skips the prescreen — the escape hatch and the reference
-	// side of the differential tests.
-	PrescreenOff
-	// PrescreenAlways runs the contraction rounds regardless of size. Meant
-	// for tests that must exercise the prescreened path on small inputs.
-	PrescreenAlways
-)
-
-func (p Prescreen) String() string {
+func (p Policy) String() string {
 	switch p {
-	case PrescreenAuto:
+	case Auto:
 		return "auto"
-	case PrescreenOff:
+	case Off:
 		return "off"
-	case PrescreenAlways:
+	case Always:
 		return "always"
 	}
-	return "prescreen(?)"
+	return "policy(?)"
 }
 
 // Options configures a verification run. The zero value — all properties,
@@ -160,12 +129,9 @@ type Options struct {
 	Workers int
 	// Props selects the properties to compute; zero means PropAll.
 	Props Properties
-	// Sparsify selects the sparse-certificate policy for the κ/λ probes.
-	// The zero value (SparsifyAuto) enables the fast path on dense graphs;
-	// it never changes any reported value or verdict.
-	Sparsify Sparsify
-	// Prescreen selects the Monte Carlo cut-prescreen policy for the κ/λ
-	// probes. The zero value (PrescreenAuto) enables it on large graphs; it
-	// never changes any reported value or verdict.
-	Prescreen Prescreen
+	// Sparsify is the sparse-certificate policy for the κ/λ probes.
+	Sparsify Policy
+	// Prescreen is the Monte Carlo cut-prescreen policy for the κ/λ
+	// probes.
+	Prescreen Policy
 }

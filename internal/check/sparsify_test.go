@@ -13,7 +13,7 @@ import (
 // for: Harary H(k,n) — which pins δ = k and κ = λ = k — plus a clique on
 // the first `core` nodes, which inflates m far past k·n without touching
 // the minimum degree. The (δ+1)-certificate keeps O(k·n) edges out of
-// O(core²), so the fast path triggers under SparsifyAuto.
+// O(core²), so the fast path triggers under Auto.
 func denseFixture(tb testing.TB, n, k, core int) *graph.Graph {
 	tb.Helper()
 	h, err := harary.Build(n, k)
@@ -45,15 +45,15 @@ func TestSparsifyTriggersOnDenseFixture(t *testing.T) {
 	ctx := context.Background()
 	props := PropNodeConnectivity | PropLinkConnectivity | PropDiameter
 
-	full, err := VerifyCtx(ctx, g, k, Options{Workers: 1, Props: props, Sparsify: SparsifyOff})
+	full, err := Verify(ctx, g, k, Options{Workers: 1, Props: props, Sparsify: Off})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c := obs.Counters()["check.sparsify.passes"]; c != 0 {
-		t.Fatalf("SparsifyOff must not build certificates, passes=%d", c)
+		t.Fatalf("Off must not build certificates, passes=%d", c)
 	}
 
-	fast, err := VerifyCtx(ctx, g, k, Options{Workers: 1, Props: props}) // zero = SparsifyAuto
+	fast, err := Verify(ctx, g, k, Options{Workers: 1, Props: props}) // zero = Auto
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestSparsifyTriggersOnDenseFixture(t *testing.T) {
 
 // TestSparsifyAutoSkipsSparseGraphs pins the cutoff behavior the probe
 // count tests depend on: an LHG-sized sparse graph (m ≈ k·n/2) never
-// builds a certificate under SparsifyAuto.
+// builds a certificate under Auto.
 func TestSparsifyAutoSkipsSparseGraphs(t *testing.T) {
 	withSink(t)
 	g := petersen()
-	if _, err := VerifyCtx(context.Background(), g, 3, Options{Workers: 1}); err != nil {
+	if _, err := Verify(context.Background(), g, 3, Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if c := obs.Counters()["check.sparsify.passes"]; c != 0 {
@@ -106,10 +106,10 @@ func TestSparsifyAutoSkipsSparseGraphs(t *testing.T) {
 // TestSparseProbeViewPolicies covers the helper directly.
 func TestSparseProbeViewPolicies(t *testing.T) {
 	g := denseFixture(t, 48, 3, 24)
-	if v, ok := SparseProbeView(g, 3, SparsifyOff); ok || v != g {
+	if v, ok := SparseProbeView(g, 3, Off); ok || v != g {
 		t.Fatal("off must return the graph itself")
 	}
-	v, ok := SparseProbeView(g, 3, SparsifyAuto)
+	v, ok := SparseProbeView(g, 3, Auto)
 	if !ok || v.Size() >= g.Size() {
 		t.Fatalf("auto must sparsify the dense fixture: ok=%t m=%d", ok, v.Size())
 	}
@@ -117,10 +117,10 @@ func TestSparseProbeViewPolicies(t *testing.T) {
 		t.Fatal("view must span the same nodes")
 	}
 	sparse := petersen()
-	if _, ok := SparseProbeView(sparse, 3, SparsifyAuto); ok {
+	if _, ok := SparseProbeView(sparse, 3, Auto); ok {
 		t.Fatal("auto must skip sparse graphs")
 	}
-	if _, ok := SparseProbeView(sparse, 3, SparsifyAlways); !ok {
+	if _, ok := SparseProbeView(sparse, 3, Always); !ok {
 		t.Fatal("always must force the certificate")
 	}
 }

@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"context"
 	"fmt"
 
 	"lhg/internal/flow"
@@ -65,7 +66,7 @@ func AdversarialNodeFailures(g *graph.Graph, source, f int) (Failures, error) {
 	if f == 0 {
 		return Failures{}, nil
 	}
-	kappa := flow.VertexConnectivity(g)
+	kappa, _ := flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints)
 	if f >= kappa {
 		if cut := findCut(g, source, f); cut != nil {
 			mAdvCutsFound.Inc()
@@ -172,7 +173,7 @@ func AdversarialLinkFailures(g *graph.Graph, source, f int) (Failures, error) {
 	if f == 0 {
 		return Failures{}, nil
 	}
-	lambda := flow.EdgeConnectivity(g)
+	lambda, _ := flow.EdgeConnectivity(context.Background(), g, 1, flow.NoHints)
 	if f >= lambda {
 		if cut, err := flow.GlobalMinEdgeCutSet(g); err == nil && len(cut) <= f {
 			links := cut

@@ -8,22 +8,13 @@ import (
 )
 
 // stVertexFlow returns the maximum number of internally vertex-disjoint
-// s-t paths for a non-adjacent pair, early-exiting at limit if limit >= 0.
-// The probe is armed with ctx: cancellation stops it between augmenting
+// s-t paths for a non-adjacent pair in G−skip (pass noEdge to mask
+// nothing), early-exiting at limit if limit >= 0. The masked edge never
+// enters the network, so removal probes cost one flow, not one clone. The
+// probe is armed with ctx: cancellation stops it between augmenting
 // paths, and the caller is responsible for checking ctx afterwards (a
 // canceled probe returns a lower bound, not the exact value).
-func stVertexFlow(ctx context.Context, g *graph.Graph, s, t, limit int) int {
-	nw := getNetwork(2 * g.Order())
-	nw.watch(ctx)
-	nw.buildVertex(g, s, t, g.Order()+1, noEdge)
-	f := nw.maxflow(2*s+1, 2*t, limit)
-	putNetwork(nw)
-	return f
-}
-
-// stVertexFlowExcluding is stVertexFlow on G−skip: the masked edge never
-// enters the network, so removal probes cost one flow, not one clone.
-func stVertexFlowExcluding(ctx context.Context, g *graph.Graph, s, t, limit int, skip graph.Edge) int {
+func stVertexFlow(ctx context.Context, g *graph.Graph, s, t, limit int, skip graph.Edge) int {
 	nw := getNetwork(2 * g.Order())
 	nw.watch(ctx)
 	nw.buildVertex(g, s, t, g.Order()+1, skip)
@@ -32,9 +23,9 @@ func stVertexFlowExcluding(ctx context.Context, g *graph.Graph, s, t, limit int,
 	return f
 }
 
-// stEdgeFlowExcluding returns the maximum s-t flow in the edge network of
-// G−skip, early-exiting at limit.
-func stEdgeFlowExcluding(ctx context.Context, g *graph.Graph, s, t, limit int, skip graph.Edge) int {
+// stEdgeFlow returns the maximum s-t flow in the edge network of G−skip,
+// early-exiting at limit; see stVertexFlow.
+func stEdgeFlow(ctx context.Context, g *graph.Graph, s, t, limit int, skip graph.Edge) int {
 	nw := getNetwork(g.Order())
 	nw.watch(ctx)
 	nw.buildEdge(g, skip)
@@ -49,7 +40,7 @@ func EdgeCut(g *graph.Graph, s, t int) (int, error) {
 	if err := validatePair(g, s, t); err != nil {
 		return 0, err
 	}
-	return stEdgeFlowExcluding(context.Background(), g, s, t, -1, noEdge), nil
+	return stEdgeFlow(context.Background(), g, s, t, -1, noEdge), nil
 }
 
 // VertexCut returns the size of a minimum s-t vertex cut. s and t must be
@@ -61,15 +52,15 @@ func VertexCut(g *graph.Graph, s, t int) (int, error) {
 	if g.HasEdge(s, t) {
 		return 0, fmt.Errorf("flow: no vertex cut separates adjacent nodes %d and %d", s, t)
 	}
-	return stVertexFlow(context.Background(), g, s, t, -1), nil
+	return stVertexFlow(context.Background(), g, s, t, -1, noEdge), nil
 }
 
-// VertexCutAtLeastCtx reports whether every s-t vertex cut has at least c
+// VertexCutAtLeast reports whether every s-t vertex cut has at least c
 // nodes, using one early-exit max flow (the probe stops as soon as c
 // disjoint paths are found). s and t must be valid and non-adjacent. It is
 // the primitive of the incremental re-verification in internal/check: a
 // localized frontier probe that never pays for the exact cut value.
-func VertexCutAtLeastCtx(ctx context.Context, g *graph.Graph, s, t, c int) (bool, error) {
+func VertexCutAtLeast(ctx context.Context, g *graph.Graph, s, t, c int) (bool, error) {
 	if err := validatePair(g, s, t); err != nil {
 		return false, err
 	}
@@ -79,23 +70,23 @@ func VertexCutAtLeastCtx(ctx context.Context, g *graph.Graph, s, t, c int) (bool
 	if g.HasEdge(s, t) {
 		return false, fmt.Errorf("flow: no vertex cut separates adjacent nodes %d and %d", s, t)
 	}
-	ok := stVertexFlow(ctx, g, s, t, c) >= c
+	ok := stVertexFlow(ctx, g, s, t, c, noEdge) >= c
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
 	return ok, nil
 }
 
-// EdgeCutAtLeastCtx reports whether every s-t edge cut has at least c
-// edges, using one early-exit max flow; see VertexCutAtLeastCtx.
-func EdgeCutAtLeastCtx(ctx context.Context, g *graph.Graph, s, t, c int) (bool, error) {
+// EdgeCutAtLeast reports whether every s-t edge cut has at least c
+// edges, using one early-exit max flow; see VertexCutAtLeast.
+func EdgeCutAtLeast(ctx context.Context, g *graph.Graph, s, t, c int) (bool, error) {
 	if err := validatePair(g, s, t); err != nil {
 		return false, err
 	}
 	if c <= 0 {
 		return true, ctx.Err()
 	}
-	ok := stEdgeFlowExcluding(ctx, g, s, t, c, noEdge) >= c
+	ok := stEdgeFlow(ctx, g, s, t, c, noEdge) >= c
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
@@ -125,67 +116,33 @@ func MinVertexCutSet(g *graph.Graph, s, t int) ([]int, error) {
 	return cut, nil
 }
 
-// EdgeConnectivityCtx returns the global edge connectivity λ(G) — the
+// EdgeConnectivity returns the global edge connectivity λ(G) — the
 // minimum number of edges whose removal disconnects G — computing the
 // min-cut probes under ctx across `workers` goroutines (workers <= 0 means
 // GOMAXPROCS, 1 runs serially). Cancellation is polled between probes and
 // between augmenting-path iterations inside each probe; a canceled sweep
-// returns ctx.Err() and no value.
+// returns ctx.Err() and no value. Pass NoHints unless a prescreen supplied
+// SweepHints; hints cannot change the result.
 //
 // The probe set is the shared dominating-set plan (see lambdaProbePlan):
 // λ(G) = min(δ, min over dominating-set pairs), which needs roughly
 // n/(δ+1) probes instead of the classic n−1. Disconnected graphs and
 // graphs with fewer than two nodes have λ = 0.
-func EdgeConnectivityCtx(ctx context.Context, g *graph.Graph, workers int) (int, error) {
-	return edgeConnectivitySweep(ctx, g, workers, NoHints)
+func EdgeConnectivity(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
+	return edgeSweep(ctx, g, workers, hints, inf, 1)
 }
 
-// EdgeConnectivity returns the global edge connectivity λ(G) serially
-// without cancellation. See EdgeConnectivityCtx.
-func EdgeConnectivity(g *graph.Graph) int {
-	lambda, _ := EdgeConnectivityCtx(context.Background(), g, 1)
-	return lambda
-}
-
-// VertexConnectivityCtx returns the global vertex connectivity κ(G) using
+// VertexConnectivity returns the global vertex connectivity κ(G) using
 // the Esfahanian–Hakimi reduction, probing under ctx across `workers`
 // goroutines (workers <= 0 means GOMAXPROCS, 1 runs serially): pick a
 // minimum-degree node v; every minimum vertex cut either avoids v (then it
 // separates v from some non-neighbor) or contains v (then, by minimality,
 // v has neighbors in two different components, and those neighbors form a
 // non-adjacent pair). The complete graph K_n has connectivity n-1 by
-// convention. A canceled sweep returns ctx.Err() and no value.
-func VertexConnectivityCtx(ctx context.Context, g *graph.Graph, workers int) (int, error) {
-	return vertexConnectivityCtx(ctx, g, workers, NoHints)
-}
-
-// vertexConnectivityCtx dispatches the trivial κ cases and hands the probe
-// sweep to vertexConnectivitySweep.
-func vertexConnectivityCtx(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
-	n := g.Order()
-	if n < 2 {
-		return 0, ctx.Err()
-	}
-	if !g.Connected() {
-		return 0, ctx.Err()
-	}
-	minDeg, v := g.MinDegree()
-	if minDeg == n-1 { // complete graph
-		return n - 1, ctx.Err()
-	}
-	pairs := vertexProbePairs(g, v)
-	if len(pairs) == 0 {
-		return minDeg, ctx.Err()
-	}
-	workers = graph.ClampWorkers(workers, len(pairs))
-	return vertexConnectivitySweep(ctx, g, minDeg, pairs, workers, hints)
-}
-
-// VertexConnectivity returns the global vertex connectivity κ(G) serially
-// without cancellation. See VertexConnectivityCtx.
-func VertexConnectivity(g *graph.Graph) int {
-	kappa, _ := VertexConnectivityCtx(context.Background(), g, 1)
-	return kappa
+// convention. Hints only schedule probes (see SweepHints). A canceled
+// sweep returns ctx.Err() and no value.
+func VertexConnectivity(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
+	return vertexSweep(ctx, g, workers, hints, inf, 1)
 }
 
 // probePair is one s-t vertex-cut probe of the Esfahanian–Hakimi sweep.
@@ -217,92 +174,31 @@ func vertexProbePairs(g *graph.Graph, v int) []probePair {
 	return pairs
 }
 
-// IsKNodeConnectedCtx reports whether κ(G) >= k without always computing
-// the exact connectivity (max flows early-exit at k), polling ctx between
-// probes.
-func IsKNodeConnectedCtx(ctx context.Context, g *graph.Graph, k int) (bool, error) {
-	n := g.Order()
+// IsKNodeConnected reports whether κ(G) >= k without always computing
+// the exact connectivity: it is the serial κ sweep started at min(δ, k),
+// so every probe early-exits at k, and stopped at the first probe below k.
+func IsKNodeConnected(ctx context.Context, g *graph.Graph, k int) (bool, error) {
 	if k <= 0 {
 		return true, ctx.Err()
 	}
-	if n < k+1 {
+	if g.Order() < k+1 {
 		return false, ctx.Err() // κ(G) <= n-1
 	}
-	if !g.Connected() {
-		return false, ctx.Err()
-	}
-	minDeg, v := g.MinDegree()
-	if minDeg < k {
-		return false, ctx.Err()
-	}
-	if minDeg == n-1 {
-		return true, ctx.Err()
-	}
-	nw := getNetwork(2 * n)
-	defer putNetwork(nw)
-	nw.watch(ctx)
-	nw.buildVertexBase(g, n+1, noEdge)
-	for _, p := range vertexProbePairs(g, v) {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		nw.armVertexPair(p.s, p.t)
-		if nw.maxflow(2*p.s+1, 2*p.t, k) < k {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-			return false, nil
-		}
-	}
-	return true, ctx.Err()
+	kappa, err := vertexSweep(ctx, g, 1, NoHints, k, k)
+	return err == nil && kappa >= k, err
 }
 
-// IsKNodeConnected reports whether κ(G) >= k. See IsKNodeConnectedCtx.
-func IsKNodeConnected(g *graph.Graph, k int) bool {
-	ok, _ := IsKNodeConnectedCtx(context.Background(), g, k)
-	return ok
-}
-
-// IsKEdgeConnectedCtx reports whether λ(G) >= k using early-exit max
-// flows, polling ctx between probes.
-func IsKEdgeConnectedCtx(ctx context.Context, g *graph.Graph, k int) (bool, error) {
-	n := g.Order()
+// IsKEdgeConnected reports whether λ(G) >= k: the serial λ sweep started
+// at min(δ, k) and stopped at the first probe below k.
+func IsKEdgeConnected(ctx context.Context, g *graph.Graph, k int) (bool, error) {
 	if k <= 0 {
 		return true, ctx.Err()
 	}
-	if n < 2 {
-		return false, ctx.Err()
-	}
-	if minDeg, _ := g.MinDegree(); minDeg < k {
-		return false, ctx.Err()
-	}
-	d0, targets := lambdaProbePlan(g, NoHints)
-	nw := getNetwork(n)
-	defer putNetwork(nw)
-	nw.watch(ctx)
-	nw.buildEdge(g, noEdge)
-	for _, t := range targets {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		nw.rearm()
-		if nw.maxflow(d0, t, k) < k {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-			return false, nil
-		}
-	}
-	return true, ctx.Err()
+	lambda, err := edgeSweep(ctx, g, 1, NoHints, k, k)
+	return err == nil && lambda >= k, err
 }
 
-// IsKEdgeConnected reports whether λ(G) >= k. See IsKEdgeConnectedCtx.
-func IsKEdgeConnected(g *graph.Graph, k int) bool {
-	ok, _ := IsKEdgeConnectedCtx(context.Background(), g, k)
-	return ok
-}
-
-// EdgeIsRemovableCtx reports whether removing e=(u,v) keeps both the node
+// EdgeIsRemovable reports whether removing e=(u,v) keeps both the node
 // connectivity at kappa and the link connectivity at lambda — i.e. whether
 // e witnesses a P3 (link-minimality) violation. It costs two single-pair
 // max flows on the masked view instead of 2n flows on a clone, by the
@@ -315,7 +211,7 @@ func IsKEdgeConnected(g *graph.Graph, k int) bool {
 // to separate u from v would already be a small cut of G: only cuts that
 // e itself bridged can shrink. (u and v are non-adjacent in G−e, so the
 // vertex-cut query is well defined.)
-func EdgeIsRemovableCtx(ctx context.Context, g *graph.Graph, e graph.Edge, kappa, lambda int) (bool, error) {
+func EdgeIsRemovable(ctx context.Context, g *graph.Graph, e graph.Edge, kappa, lambda int) (bool, error) {
 	if e.U > e.V {
 		e.U, e.V = e.V, e.U
 	}
@@ -325,21 +221,14 @@ func EdgeIsRemovableCtx(ctx context.Context, g *graph.Graph, e graph.Edge, kappa
 		// λ (κ) probe under the bar. Same verdict as the probes, no flow.
 		return false, ctx.Err()
 	}
-	if stEdgeFlowExcluding(ctx, g, e.U, e.V, lambda, e) < lambda {
+	if stEdgeFlow(ctx, g, e.U, e.V, lambda, e) < lambda {
 		return false, ctx.Err()
 	}
-	ok := stVertexFlowExcluding(ctx, g, e.U, e.V, kappa, e) >= kappa
+	ok := stVertexFlow(ctx, g, e.U, e.V, kappa, e) >= kappa
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
 	return ok, nil
-}
-
-// EdgeIsRemovable reports whether removing e preserves (kappa, lambda).
-// See EdgeIsRemovableCtx.
-func EdgeIsRemovable(g *graph.Graph, e graph.Edge, kappa, lambda int) bool {
-	ok, _ := EdgeIsRemovableCtx(context.Background(), g, e, kappa, lambda)
-	return ok
 }
 
 // VertexDisjointPaths returns a maximum set of pairwise internally

@@ -1,11 +1,49 @@
 package flow
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"lhg/internal/graph"
 )
+
+// Background-context forms of the sweeps for the table and property
+// tests. A background context never cancels, so the error is always nil.
+func kappaOf(g *graph.Graph, workers int) int {
+	v, _ := VertexConnectivity(context.Background(), g, workers, NoHints)
+	return v
+}
+
+func lambdaOf(g *graph.Graph, workers int) int {
+	v, _ := EdgeConnectivity(context.Background(), g, workers, NoHints)
+	return v
+}
+
+func restrictedOf(g *graph.Graph, workers int) int {
+	v, _ := RestrictedEdgeConnectivity(context.Background(), g, workers)
+	return v
+}
+
+func isKNode(g *graph.Graph, k int) bool {
+	ok, _ := IsKNodeConnected(context.Background(), g, k)
+	return ok
+}
+
+func isKEdge(g *graph.Graph, k int) bool {
+	ok, _ := IsKEdgeConnected(context.Background(), g, k)
+	return ok
+}
+
+func removable(g *graph.Graph, e graph.Edge, kappa, lambda int) bool {
+	ok, _ := EdgeIsRemovable(context.Background(), g, e, kappa, lambda)
+	return ok
+}
+
+func removableAll(g *graph.Graph, edges []graph.Edge, kappa, lambda, workers int) []bool {
+	out, _ := EdgesRemovable(context.Background(), g, edges, kappa, lambda, workers)
+	return out
+}
 
 // --- fixture builders -------------------------------------------------
 
@@ -169,7 +207,7 @@ func TestVertexConnectivityKnownGraphs(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := VertexConnectivity(tt.g); got != tt.want {
+			if got := kappaOf(tt.g, 1); got != tt.want {
 				t.Fatalf("VertexConnectivity = %d, want %d", got, tt.want)
 			}
 		})
@@ -191,7 +229,7 @@ func TestEdgeConnectivityKnownGraphs(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := EdgeConnectivity(tt.g); got != tt.want {
+			if got := lambdaOf(tt.g, 1); got != tt.want {
 				t.Fatalf("EdgeConnectivity = %d, want %d", got, tt.want)
 			}
 		})
@@ -201,26 +239,26 @@ func TestEdgeConnectivityKnownGraphs(t *testing.T) {
 func TestIsKConnectedThresholds(t *testing.T) {
 	g := completeBipartite(3, 5) // κ = λ = 3
 	for k := 0; k <= 3; k++ {
-		if !IsKNodeConnected(g, k) {
+		if !isKNode(g, k) {
 			t.Fatalf("IsKNodeConnected(K35, %d) = false", k)
 		}
-		if !IsKEdgeConnected(g, k) {
+		if !isKEdge(g, k) {
 			t.Fatalf("IsKEdgeConnected(K35, %d) = false", k)
 		}
 	}
-	if IsKNodeConnected(g, 4) {
+	if isKNode(g, 4) {
 		t.Fatal("IsKNodeConnected(K35, 4) = true")
 	}
-	if IsKEdgeConnected(g, 4) {
+	if isKEdge(g, 4) {
 		t.Fatal("IsKEdgeConnected(K35, 4) = true")
 	}
 }
 
 func TestIsKNodeConnectedSmallN(t *testing.T) {
-	if IsKNodeConnected(complete(3), 3) {
+	if isKNode(complete(3), 3) {
 		t.Fatal("K3 cannot be 3-node-connected (needs n >= k+1)")
 	}
-	if !IsKNodeConnected(complete(4), 3) {
+	if !isKNode(complete(4), 3) {
 		t.Fatal("K4 is 3-node-connected")
 	}
 }
@@ -345,10 +383,10 @@ func TestPropertyConnectivityMatchesBruteForce(t *testing.T) {
 	f := func(seed uint32, nRaw uint8) bool {
 		n := int(nRaw%6) + 2 // brute force is exponential; stay tiny
 		g := randomGraph(n, uint64(seed))
-		if VertexConnectivity(g) != bruteVertexConnectivity(g) {
+		if kappaOf(g, 1) != bruteVertexConnectivity(g) {
 			return false
 		}
-		return EdgeConnectivity(g) == bruteEdgeConnectivity(g)
+		return lambdaOf(g, 1) == bruteEdgeConnectivity(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -447,13 +485,13 @@ func TestPropertyEarlyExitAgreesWithExact(t *testing.T) {
 	f := func(seed uint32, nRaw uint8) bool {
 		n := int(nRaw%8) + 3
 		g := randomGraph(n, uint64(seed))
-		kappa := VertexConnectivity(g)
-		lambda := EdgeConnectivity(g)
+		kappa := kappaOf(g, 1)
+		lambda := lambdaOf(g, 1)
 		for k := 0; k <= n; k++ {
-			if IsKNodeConnected(g, k) != (kappa >= k) {
+			if isKNode(g, k) != (kappa >= k) {
 				return false
 			}
-			if IsKEdgeConnected(g, k) != (lambda >= k) {
+			if isKEdge(g, k) != (lambda >= k) {
 				return false
 			}
 		}

@@ -1,8 +1,8 @@
 // Package flow implements unit-capacity maximum flow (Dinic's algorithm)
 // and the connectivity queries built on it: s-t edge/vertex min cuts,
 // global edge connectivity, global vertex connectivity (Esfahanian–Hakimi),
-// parallel variants of both, and Menger-style extraction of vertex-disjoint
-// paths.
+// both swept across a worker budget, and Menger-style extraction of
+// vertex-disjoint paths.
 //
 // These are the verification workhorses for the LHG properties P1 and P2:
 // a graph is k-node (k-link) connected iff its vertex (edge) connectivity

@@ -51,7 +51,9 @@ func probeProgress(sp trace.Span, i, total int) {
 // for every in-flight max flow: a stale (too high) limit only costs extra
 // augmentation, never correctness, because any flow value below the limit
 // is exact. Probes are scheduled by the work stealer (steal.go), so one
-// near-critical pair cannot strand the rest of a worker's static share.
+// near-critical pair cannot strand the rest of a worker's static share;
+// with one worker the stealer runs the same body inline, so each sweep is
+// written once for the serial and the parallel case.
 //
 // Cancellation: every worker polls ctx between probes and arms its pooled
 // network so in-flight probes stop between augmenting-path iterations. The
@@ -135,44 +137,26 @@ func frontLoadCritical(targets, critical []int, n int) []int {
 	return out
 }
 
-// edgeConnectivitySweep computes λ(G) over the dominating-set probe plan,
-// serially for workers == 1 and via the work stealer otherwise.
-func edgeConnectivitySweep(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
+// edgeSweep runs the λ sweep over the dominating-set probe plan. The
+// running minimum starts at min(δ, hints.Upper, upTo) and every probe
+// early-exits at it; the sweep stops once the minimum drops below k. The
+// result is therefore min(λ, upTo) whenever it is >= k, and some cut value
+// below k otherwise: the exact sweep passes (inf, 1), whose only early
+// stop is a zero cut, and the threshold check passes (k, k).
+func edgeSweep(ctx context.Context, g *graph.Graph, workers int, hints SweepHints, upTo, k int) (int, error) {
 	n := g.Order()
 	if n < 2 {
 		return 0, ctx.Err()
 	}
 	best, _ := g.MinDegree()
+	best = min(best, upTo)
 	if hints.Upper >= 0 && hints.Upper < best {
 		best = hints.Upper
 	}
-	d0, targets := lambdaProbePlan(g, hints)
-	if best == 0 || len(targets) == 0 {
+	if best < k {
 		return best, ctx.Err()
 	}
-	workers = graph.ClampWorkers(workers, len(targets))
-	if workers == 1 {
-		nw := getNetwork(n)
-		defer putNetwork(nw)
-		nw.watch(ctx)
-		nw.buildEdge(g, noEdge) // one topology for the whole sweep; rearm per probe
-		for _, t := range targets {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			nw.rearm()
-			if f := nw.maxflow(d0, t, best); f < best {
-				best = f
-				if best == 0 {
-					break
-				}
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return best, nil
-	}
+	d0, targets := lambdaProbePlan(g, hints)
 	var shared atomic.Int64
 	shared.Store(int64(best))
 	runStealing(ctx, "flow.lambda.worker", len(targets), workers, func(w int, next func() (int, bool)) {
@@ -186,15 +170,14 @@ func edgeConnectivitySweep(ctx context.Context, g *graph.Graph, workers int, hin
 				return
 			}
 			limit := int(shared.Load())
-			if limit == 0 {
+			if limit < k {
 				return
 			}
-			if built {
-				nw.rearm()
-			} else {
-				nw.buildEdge(g, noEdge)
+			if !built {
+				nw.buildEdge(g, noEdge) // one topology per worker; rearm per probe
 				built = true
 			}
+			nw.rearm()
 			if f := nw.maxflow(d0, targets[i], limit); f < limit && ctx.Err() == nil {
 				atomicMin(&shared, f)
 			}
@@ -206,51 +189,29 @@ func edgeConnectivitySweep(ctx context.Context, g *graph.Graph, workers int, hin
 	return int(shared.Load()), nil
 }
 
-// EdgeConnectivityHinted is EdgeConnectivityCtx with prescreen hints; see
-// SweepHints for why hints cannot change the result.
-func EdgeConnectivityHinted(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
-	return edgeConnectivitySweep(ctx, g, workers, hints)
-}
-
-// EdgeConnectivityParallel is EdgeConnectivity with the min-cut probes
-// fanned across `workers` goroutines (<= 1 falls back to the serial sweep;
-// <= 0 means GOMAXPROCS).
-func EdgeConnectivityParallel(g *graph.Graph, workers int) int {
-	lambda, _ := EdgeConnectivityCtx(context.Background(), g, workers)
-	return lambda
-}
-
-// vertexConnectivitySweep sweeps the Esfahanian–Hakimi probe pairs with a
-// shared running minimum, serially for workers == 1 and via the work
-// stealer otherwise. Callers have already dispatched the trivial cases
-// (n < 2, disconnected, complete).
-func vertexConnectivitySweep(ctx context.Context, g *graph.Graph, minDeg int, pairs []probePair, workers int, hints SweepHints) (int, error) {
+// vertexSweep runs the κ sweep over the Esfahanian–Hakimi probe pairs
+// after dispatching the trivial cases (n < 2, disconnected, complete). Its
+// running minimum starts at min(δ, upTo) and it stops once the minimum
+// drops below k, exactly like edgeSweep; hints only reorder the pairs.
+func vertexSweep(ctx context.Context, g *graph.Graph, workers int, hints SweepHints, upTo, k int) (int, error) {
 	n := g.Order()
+	if n < 2 || !g.Connected() {
+		return 0, ctx.Err()
+	}
+	minDeg, v := g.MinDegree()
+	if minDeg == n-1 { // complete graph
+		return n - 1, ctx.Err()
+	}
+	best := min(minDeg, upTo) // κ(G) <= δ(G)
+	if best < k {
+		return best, ctx.Err()
+	}
+	pairs := vertexProbePairs(g, v)
 	if len(hints.Critical) > 0 {
 		pairs = frontLoadCriticalPairs(pairs, hints.Critical, n)
 	}
-	if workers == 1 {
-		best := minDeg // κ(G) <= δ(G)
-		nw := getNetwork(2 * n)
-		defer putNetwork(nw)
-		nw.watch(ctx)
-		nw.buildVertexBase(g, n+1, noEdge) // one topology; re-arm the terminal pair per probe
-		for _, p := range pairs {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			nw.armVertexPair(p.s, p.t)
-			if f := nw.maxflow(2*p.s+1, 2*p.t, best); f < best {
-				best = f
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return best, nil
-	}
 	var shared atomic.Int64
-	shared.Store(int64(minDeg))
+	shared.Store(int64(best))
 	runStealing(ctx, "flow.kappa.worker", len(pairs), workers, func(w int, next func() (int, bool)) {
 		nw := getNetwork(2 * n)
 		defer putNetwork(nw)
@@ -262,11 +223,11 @@ func vertexConnectivitySweep(ctx context.Context, g *graph.Graph, minDeg int, pa
 				return
 			}
 			limit := int(shared.Load())
-			if limit == 0 {
+			if limit < k {
 				return
 			}
 			if !built {
-				nw.buildVertexBase(g, n+1, noEdge)
+				nw.buildVertexBase(g, n+1, noEdge) // one topology; re-arm the terminal pair per probe
 				built = true
 			}
 			p := pairs[i]
@@ -308,19 +269,6 @@ func frontLoadCriticalPairs(pairs []probePair, critical []int, n int) []probePai
 	return out
 }
 
-// VertexConnectivityHinted is VertexConnectivityCtx with prescreen hints
-// (scheduling-only for κ; see SweepHints).
-func VertexConnectivityHinted(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
-	return vertexConnectivityCtx(ctx, g, workers, hints)
-}
-
-// VertexConnectivityParallel is VertexConnectivity (Esfahanian–Hakimi) with
-// the per-pair vertex-cut probes fanned across `workers` goroutines.
-func VertexConnectivityParallel(g *graph.Graph, workers int) int {
-	kappa, _ := VertexConnectivityCtx(context.Background(), g, workers)
-	return kappa
-}
-
 // canonicalIndices maps each edge to its index in the canonical g.Edges()
 // enumeration (-1 when the edge is not in g), the key the masked-arena P3
 // probes use to zero an edge's arc window without rebuilding.
@@ -345,7 +293,7 @@ func canonicalIndices(g *graph.Graph, edges []graph.Edge) []int32 {
 	return idx
 }
 
-// EdgesRemovableCtx runs the EdgeIsRemovable predicate over a batch of
+// EdgesRemovable runs the EdgeIsRemovable predicate over a batch of
 // edges across `workers` goroutines under ctx and returns a parallel bool
 // slice: out[i] reports whether edges[i] can be removed without lowering κ
 // below kappa or λ below lambda. It is the fan-out primitive of the P3
@@ -356,14 +304,14 @@ func canonicalIndices(g *graph.Graph, edges []graph.Edge) []int32 {
 // capacity copies per edge instead of two topology rebuilds, which is where
 // the P3 sweep spends its time on large instances. A canceled sweep drains
 // its workers, then returns ctx.Err() and no slice.
-func EdgesRemovableCtx(ctx context.Context, g *graph.Graph, edges []graph.Edge, kappa, lambda, workers int) ([]bool, error) {
+func EdgesRemovable(ctx context.Context, g *graph.Graph, edges []graph.Edge, kappa, lambda, workers int) ([]bool, error) {
 	out := make([]bool, len(edges))
 	if len(edges) == 0 {
 		return out, ctx.Err()
 	}
 	idx := canonicalIndices(g, edges)
 	n := g.Order()
-	body := func(w int, next func() (int, bool)) {
+	runStealing(ctx, "flow.minimality.worker", len(edges), workers, func(w int, next func() (int, bool)) {
 		var eNet, vNet *network // built lazily: a starved worker never builds
 		defer func() {
 			if eNet != nil {
@@ -383,7 +331,7 @@ func EdgesRemovableCtx(ctx context.Context, g *graph.Graph, edges []graph.Edge, 
 				e.U, e.V = e.V, e.U
 			}
 			if d := min(g.Degree(e.U), g.Degree(e.V)); d <= lambda || d <= kappa {
-				// Degree shortcut (see EdgeIsRemovableCtx): an endpoint of
+				// Degree shortcut (see EdgeIsRemovable): an endpoint of
 				// degree <= max(kappa, lambda) caps the corresponding probe
 				// below its bar in G−e, so the verdict is false without a
 				// flow. On near-regular instances with λ = δ this skips
@@ -392,7 +340,7 @@ func EdgesRemovableCtx(ctx context.Context, g *graph.Graph, edges []graph.Edge, 
 			}
 			if idx[i] < 0 {
 				// Not an edge of g: fall back to the per-probe masked build.
-				if rem, err := EdgeIsRemovableCtx(ctx, g, e, kappa, lambda); err == nil {
+				if rem, err := EdgeIsRemovable(ctx, g, e, kappa, lambda); err == nil {
 					out[i] = rem
 				}
 				continue
@@ -417,29 +365,9 @@ func EdgesRemovableCtx(ctx context.Context, g *graph.Graph, edges []graph.Edge, 
 			vNet.maskEdgeInVertexNet(ci)
 			out[i] = vNet.maxflow(2*e.U+1, 2*e.V, kappa) >= kappa
 		}
-	}
-	workers = graph.ClampWorkers(workers, len(edges))
-	if workers == 1 {
-		i := 0
-		body(0, func() (int, bool) {
-			if ctx.Err() != nil || i >= len(edges) {
-				return 0, false
-			}
-			i++
-			return i - 1, true
-		})
-	} else {
-		runStealing(ctx, "flow.minimality.worker", len(edges), workers, body)
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// EdgesRemovable runs EdgeIsRemovable over a batch of edges across
-// `workers` goroutines without cancellation. See EdgesRemovableCtx.
-func EdgesRemovable(g *graph.Graph, edges []graph.Edge, kappa, lambda, workers int) []bool {
-	out, _ := EdgesRemovableCtx(context.Background(), g, edges, kappa, lambda, workers)
-	return out
 }

@@ -82,11 +82,11 @@ func (nw *network) armEdgePair(m int, src, dst graph.Edge) {
 	nw.cap[base+4*dst.V+2] = c
 }
 
-// RestrictedEdgeConnectivityCtx returns λ′(G) across `workers` goroutines
+// RestrictedEdgeConnectivity returns λ′(G) across `workers` goroutines
 // under ctx, or -1 when λ′ is undefined for g. The pairwise probe sweep
 // shares one arena per worker (rearm + terminal re-arm per probe) and
 // early-exits every flow at the shared running minimum.
-func RestrictedEdgeConnectivityCtx(ctx context.Context, g *graph.Graph, workers int) (int, error) {
+func RestrictedEdgeConnectivity(ctx context.Context, g *graph.Graph, workers int) (int, error) {
 	if minDeg, _ := g.MinDegree(); g.Order() == 0 || minDeg == 0 {
 		return -1, ctx.Err()
 	}
@@ -96,30 +96,6 @@ func RestrictedEdgeConnectivityCtx(ctx context.Context, g *graph.Graph, workers 
 		return -1, ctx.Err()
 	}
 	n, m := g.Order(), len(edges)
-	workers = graph.ClampWorkers(workers, len(pairs))
-	if workers == 1 {
-		best := inf
-		nw := getNetwork(n + 2)
-		defer putNetwork(nw)
-		nw.watch(ctx)
-		nw.buildRestricted(g)
-		for _, p := range pairs {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			nw.armEdgePair(m, edges[p.i], edges[p.j])
-			if f := nw.maxflow(n, n+1, best); f < best {
-				best = f
-				if best == 0 {
-					break
-				}
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return best, nil
-	}
 	var shared atomic.Int64
 	shared.Store(int64(inf))
 	runStealing(ctx, "flow.restricted.worker", len(pairs), workers, func(w int, next func() (int, bool)) {
@@ -151,11 +127,4 @@ func RestrictedEdgeConnectivityCtx(ctx context.Context, g *graph.Graph, workers 
 		return 0, err
 	}
 	return int(shared.Load()), nil
-}
-
-// RestrictedEdgeConnectivity returns λ′(G) (or -1 when undefined) without
-// cancellation. See RestrictedEdgeConnectivityCtx.
-func RestrictedEdgeConnectivity(g *graph.Graph, workers int) int {
-	v, _ := RestrictedEdgeConnectivityCtx(context.Background(), g, workers)
-	return v
 }

@@ -124,15 +124,30 @@ func (q *stealQueue) steal(w int) (idx int, ok bool) {
 }
 
 // runStealing fans probes [0, total) across `workers` goroutines scheduled
-// by the work stealer. Each worker goroutine calls `body` once; body pulls
-// indices from next() until it returns ok=false (queue drained) and owns
-// whatever per-worker state it needs (pooled networks, built topologies).
-// spanName labels the per-worker trace spans. Cancellation is the body's
-// concern between probes (body sees ctx); runStealing always joins every
-// worker before returning.
+// by the work stealer. Each worker calls `body` once; body pulls indices
+// from next() until it returns ok=false (queue drained or ctx done) and
+// owns whatever per-worker state it needs (pooled networks, built
+// topologies). spanName labels the per-worker trace spans. runStealing
+// always joins every worker before returning.
+//
+// With one worker the body runs inline on the caller's goroutine and next
+// walks the indices in order: no goroutine, no worker span, no steal or
+// worker counters, one ctx.Err() poll per index. That is the serial sweep,
+// so every driver is written once.
 func runStealing(ctx context.Context, spanName string, total, workers int, body func(w int, next func() (int, bool))) {
 	workers = graph.ClampWorkers(workers, total)
 	if workers < 1 || total == 0 {
+		return
+	}
+	if workers == 1 {
+		i := 0
+		body(0, func() (int, bool) {
+			if ctx.Err() != nil || i >= total {
+				return 0, false
+			}
+			i++
+			return i - 1, true
+		})
 		return
 	}
 	q := newStealQueue(total, workers)

@@ -118,7 +118,7 @@ func skewedFixture() *graph.Graph {
 // minimality sweep equals the serial one exactly.
 func TestStealProbeTotalsSerialParallel(t *testing.T) {
 	g := skewedFixture()
-	kappa, lambda := VertexConnectivity(g), EdgeConnectivity(g)
+	kappa, lambda := kappaOf(g, 1), lambdaOf(g, 1)
 	if kappa != 2 || lambda != 2 {
 		t.Fatalf("fixture κ=%d λ=%d, want 2/2", kappa, lambda)
 	}
@@ -127,7 +127,7 @@ func TestStealProbeTotalsSerialParallel(t *testing.T) {
 
 	count := func(workers int) (int64, []bool) {
 		obs.Reset()
-		out, err := EdgesRemovableCtx(context.Background(), g, edges, kappa, lambda, workers)
+		out, err := EdgesRemovable(context.Background(), g, edges, kappa, lambda, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,6 +146,64 @@ func TestStealProbeTotalsSerialParallel(t *testing.T) {
 			if out[i] != serialOut[i] {
 				t.Fatalf("workers=%d: removable[%d]=%t diverged from serial %t", workers, i, out[i], serialOut[i])
 			}
+		}
+	}
+}
+
+// cliqueChain is three K5 blocks in a row: A = 0..4 and B = 5..9 joined by
+// the matching (i, 5+i) for i < 4, B and C = 10..14 joined by (9,10) and
+// (5,11). δ = 4, and {9, 5} (or the two B-C edges) is the only cut below
+// it, so κ = λ = 2 and the cut sits away from the min-degree node 4.
+func cliqueChain() *graph.Graph {
+	b := graph.NewBuilder(15)
+	for base := 0; base < 15; base += 5 {
+		for u := base; u < base+5; u++ {
+			for v := u + 1; v < base+5; v++ {
+				b.MustAddEdge(u, v)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		b.MustAddEdge(i, 5+i)
+	}
+	b.MustAddEdge(9, 10)
+	b.MustAddEdge(5, 11)
+	return b.Freeze()
+}
+
+// TestThresholdProbeCounts pins how many max flows the threshold checks
+// issue, counted from the probe plans: the κ sweep pairs the min-degree
+// node 4 with its 10 non-neighbors 5..14 (its neighbors 0..3 are
+// pairwise adjacent, so no neighbor pairs), and the λ sweep probes the
+// dominating set [0 6 10] from pivot 0, so 2 targets. A passing check
+// runs every probe; a failing one stops at the first probe below k: pair
+// (4,10) is the 6th κ probe and target 10 the 2nd λ probe.
+func TestThresholdProbeCounts(t *testing.T) {
+	g := cliqueChain()
+	withFlowSink(t)
+	for _, tc := range []struct {
+		k             int
+		want          bool
+		kappa, lambda int64
+	}{
+		{k: 2, want: true, kappa: 10, lambda: 2},
+		{k: 3, want: false, kappa: 6, lambda: 2},
+	} {
+		obs.Reset()
+		ok, err := IsKNodeConnected(context.Background(), g, tc.k)
+		if err != nil || ok != tc.want {
+			t.Fatalf("k=%d: IsKNodeConnected = %t, %v; want %t", tc.k, ok, err, tc.want)
+		}
+		if got := mMaxflowProbes.Value(); got != tc.kappa {
+			t.Errorf("k=%d: IsKNodeConnected issued %d probes, want %d", tc.k, got, tc.kappa)
+		}
+		obs.Reset()
+		ok, err = IsKEdgeConnected(context.Background(), g, tc.k)
+		if err != nil || ok != tc.want {
+			t.Fatalf("k=%d: IsKEdgeConnected = %t, %v; want %t", tc.k, ok, err, tc.want)
+		}
+		if got := mMaxflowProbes.Value(); got != tc.lambda {
+			t.Errorf("k=%d: IsKEdgeConnected issued %d probes, want %d", tc.k, got, tc.lambda)
 		}
 	}
 }

@@ -1,13 +1,18 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"lhg"
 	"lhg/internal/obs"
+	"lhg/internal/obs/trace"
 	"lhg/internal/store"
 )
 
@@ -143,5 +148,36 @@ func TestCrossProcessDistinctKeysDontContend(t *testing.T) {
 	}
 	if waits := after["store.lease.waits"] - before["store.lease.waits"]; waits != 0 {
 		t.Fatalf("distinct keys waited on each other %d times", waits)
+	}
+}
+
+// TestLeaseWinnerAdoptsPublishedValue: a foreign leader can publish and
+// release between a request's store miss and its lease acquisition. The
+// new lease winner must then adopt the published value instead of running
+// a second campaign, and give the lease back.
+func TestLeaseWinnerAdoptsPublishedValue(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{CacheSize: 16, Store: st})
+	raw, _ := json.Marshal(lhg.Report{N: 7, K: 3})
+	if err := st.Put("k", "verify", raw); err != nil {
+		t.Fatal(err)
+	}
+	v, lease, err := srv.leaseOrAdopt(context.Background(), "k", persistVerify, trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lease != nil {
+		t.Fatal("won the lease over a published value: the caller would compute again")
+	}
+	if r, ok := v.(*lhg.Report); !ok || r.N != 7 {
+		t.Fatalf("adopted %#v, want the published report", v)
+	}
+	if l, ok, err := st.Acquire("k", time.Minute); err != nil || !ok {
+		t.Fatalf("lease still held after adopting: ok=%t err=%v", ok, err)
+	} else {
+		l.Release()
 	}
 }

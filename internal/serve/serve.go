@@ -84,10 +84,6 @@ type Options struct {
 	// Timeout bounds each computation; exceeding it maps to HTTP 504.
 	// Zero means no limit beyond the request's own context.
 	Timeout time.Duration
-	// DisableSparsify turns off the sparse-certificate verify fast path
-	// (lhg.WithSparsify). Reports are bit-identical either way, so cache
-	// keys do not depend on it — it is an operational escape hatch only.
-	DisableSparsify bool
 	// MaxSessions caps the live /v1/reconfigure topology sessions.
 	// 0 means the 1024 default; negative disables the endpoint's sessions.
 	MaxSessions int
@@ -127,7 +123,6 @@ type Server struct {
 	base     context.Context
 	workers  int
 	timeout  time.Duration
-	sparsify bool
 	cache    *lruCache
 	flights  *flightGroup
 	mux      *http.ServeMux
@@ -181,7 +176,6 @@ func New(opts Options) *Server {
 		base:        base,
 		workers:     opts.Workers,
 		timeout:     opts.Timeout,
-		sparsify:    !opts.DisableSparsify,
 		cache:       newLRU(size),
 		flights:     newFlightGroup(base),
 		mux:         http.NewServeMux(),
@@ -482,7 +476,7 @@ func (s *Server) compute(ctx context.Context, ep endpoint, key string, p *persis
 	if sp.Live() {
 		sp.Event("cache-miss", trace.Str("key", key))
 	}
-	var fromStore atomic.Bool
+	var adopted atomic.Bool
 	v, err, shared := s.flights.Do(ctx, key, func(runCtx context.Context) (any, error) {
 		// Double-check the cache as the flight leader: a request that
 		// missed the cache just before a concurrent flight completed and
@@ -490,6 +484,7 @@ func (s *Server) compute(ctx context.Context, ep endpoint, key string, p *persis
 		// completing flight fills the cache before it unmaps, so this
 		// lookup closes that window.
 		if v, ok := s.cache.Get(key); ok {
+			adopted.Store(true)
 			return v, nil
 		}
 		if s.timeout > 0 {
@@ -508,7 +503,7 @@ func (s *Server) compute(ctx context.Context, ep endpoint, key string, p *persis
 				return nil, err
 			}
 			if v != nil {
-				fromStore.Store(true)
+				adopted.Store(true)
 				s.cache.Put(key, v)
 				return v, nil
 			}
@@ -532,10 +527,10 @@ func (s *Server) compute(ctx context.Context, ep endpoint, key string, p *persis
 	if err != nil {
 		return nil, false, err
 	}
-	// A coalesced request — or one whose flight adopted a foreign
-	// process's result — reports cached=true: it did not pay for the
-	// computation, which is what clients use the flag for.
-	return v, shared || fromStore.Load(), nil
+	// A coalesced request — or one whose flight adopted a cached or a
+	// foreign process's result — reports cached=true: it did not pay for
+	// the computation, which is what clients use the flag for.
+	return v, shared || adopted.Load(), nil
 }
 
 // leaseOrAdopt makes the in-process flight leader unique fleet-wide: it
@@ -552,6 +547,13 @@ func (s *Server) leaseOrAdopt(ctx context.Context, key string, p *persistSpec, c
 			return nil, nil, nil
 		}
 		if won {
+			// A foreign leader may have published and released between
+			// our store miss and this acquisition. It publishes before it
+			// releases, so one read now decides whether to compute.
+			if v, ok := s.storeGet(key, p); ok {
+				lease.Release()
+				return v, nil, nil
+			}
 			return nil, lease, nil
 		}
 		if csp.Live() {
@@ -674,8 +676,7 @@ func (s *Server) verifyOne(ctx context.Context, req *VerifyRequest) (*VerifyResp
 	workers := clampRequestWorkers(req.Workers, s.workers)
 	key := verifyKey(req.graphKey(c), props)
 	v, cached, err := s.compute(ctx, epVerify, key, persistVerify, func(runCtx context.Context) (any, error) {
-		return lhg.Verify(runCtx, g, req.K, lhg.WithWorkers(workers),
-			lhg.WithProperties(props), lhg.WithSparsify(s.sparsify))
+		return lhg.Verify(runCtx, g, req.K, lhg.WithWorkers(workers), lhg.WithProperties(props))
 	})
 	if err != nil {
 		return nil, err

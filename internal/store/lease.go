@@ -3,7 +3,9 @@ package store
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"time"
@@ -13,11 +15,13 @@ import (
 
 // Cross-process singleflight. The in-process flight group already
 // guarantees one campaign per key per daemon; the lease extends that to a
-// fleet sharing one data directory. The leader of a flight tries to create
-// <hash>.lease with O_EXCL — exactly one process in the fleet wins — and
-// every loser waits for either the report file to appear or the lease to
-// die, then re-reads the store. A crashed leader is survived by the TTL:
-// the next contender removes the expired lease and takes over.
+// fleet sharing one data directory. The leader of a flight writes its
+// claim to a temp file and hard-links it to <hash>.lease — the link fails
+// with EEXIST for everyone but one process in the fleet, and a lease file
+// never exists without its body — and every loser waits for either the
+// report file to appear or the lease to die, then re-reads the store. A
+// crashed leader is survived by the TTL: the next contender removes the
+// expired lease and takes over.
 //
 // Release is read-check-remove rather than atomic, so a leader that
 // overstays its TTL could in principle remove its successor's lease; the
@@ -62,34 +66,37 @@ func (s *Store) Acquire(key string, ttl time.Duration) (*Lease, bool, error) {
 	hash := Key(key)
 	path := s.leasePath(hash)
 	owner := fmt.Sprintf("%d-%x", os.Getpid(), rand.Uint64())
+	data, _ := json.Marshal(leaseFile{Owner: owner, Expires: time.Now().Add(ttl).UnixNano()})
+	// The claim is complete on disk before it becomes visible: a temp file
+	// (its name does not end in .json, so the index scan skips it) is
+	// linked to the lease path, which is atomic and fails if a lease
+	// exists.
+	tmp, err := writeTemp(s.dir, hash+".lease.tmp-*", data)
+	if err != nil {
+		mErrors.Inc()
+		return nil, false, fmt.Errorf("store: write lease %s: %w", hash, err)
+	}
+	defer os.Remove(tmp)
 	for attempt := 0; attempt < 3; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		err := os.Link(tmp, path)
 		if err == nil {
-			data, _ := json.Marshal(leaseFile{Owner: owner, Expires: time.Now().Add(ttl).UnixNano()})
-			if _, werr := f.Write(data); werr != nil {
-				f.Close()
-				os.Remove(path)
-				mErrors.Inc()
-				return nil, false, fmt.Errorf("store: write lease %s: %w", hash, werr)
-			}
-			f.Close()
 			mLeaseAcquired.Inc()
 			return &Lease{s: s, hash: hash, owner: owner}, true, nil
 		}
-		if !os.IsExist(err) {
+		if !errors.Is(err, fs.ErrExist) {
 			mErrors.Inc()
 			return nil, false, fmt.Errorf("store: lease %s: %w", hash, err)
 		}
 		// Held. Expired or corrupt claims are from crashed leaders: remove
-		// and contend again (the O_EXCL create arbitrates the removal race).
+		// and contend again (the link arbitrates the removal race).
 		var lf leaseFile
-		data, rerr := os.ReadFile(path)
-		if rerr == nil && json.Unmarshal(data, &lf) == nil && time.Now().UnixNano() < lf.Expires {
+		held, rerr := os.ReadFile(path)
+		if rerr == nil && json.Unmarshal(held, &lf) == nil && time.Now().UnixNano() < lf.Expires {
 			mLeaseContested.Inc()
 			return nil, false, nil
 		}
 		if os.IsNotExist(rerr) {
-			continue // released between create and read: contend again
+			continue // released between link and read: contend again
 		}
 		os.Remove(path)
 		mLeaseTakeovers.Inc()

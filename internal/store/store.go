@@ -137,25 +137,13 @@ func (s *Store) Put(key, kind string, value json.RawMessage) error {
 		mErrors.Inc()
 		return fmt.Errorf("store: encode %s: %w", hash, err)
 	}
-	tmp, err := os.CreateTemp(s.dir, hash+".tmp-*")
+	tmp, err := writeTemp(s.dir, hash+".tmp-*", data)
 	if err != nil {
-		mErrors.Inc()
-		return fmt.Errorf("store: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
 		mErrors.Inc()
 		return fmt.Errorf("store: write %s: %w", hash, err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		mErrors.Inc()
-		return fmt.Errorf("store: close %s: %w", hash, err)
-	}
-	if err := os.Rename(tmpName, s.path(hash)); err != nil {
-		os.Remove(tmpName)
+	if err := os.Rename(tmp, s.path(hash)); err != nil {
+		os.Remove(tmp)
 		mErrors.Inc()
 		return fmt.Errorf("store: publish %s: %w", hash, err)
 	}
@@ -164,6 +152,25 @@ func (s *Store) Put(key, kind string, value json.RawMessage) error {
 	s.mu.Unlock()
 	mWrites.Inc()
 	return nil
+}
+
+// writeTemp writes data to a new temp file in dir named after pattern and
+// returns its path. Publishers move the complete file into place (rename
+// for entries, link for leases), so no reader sees a partial write.
+func writeTemp(dir, pattern string, data []byte) (string, error) {
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
 }
 
 // Contains reports whether the index knows key without touching disk.

@@ -161,8 +161,12 @@ func TestStaleReleaseDoesNotStealNewLease(t *testing.T) {
 	}
 }
 
+// TestAcquireContendedOnce: exactly one contender wins, and since every
+// claim is published through a temp file that winner and losers alike
+// remove, the directory ends up holding the one lease file.
 func TestAcquireContendedOnce(t *testing.T) {
-	s, _ := Open(t.TempDir())
+	dir := t.TempDir()
+	s, _ := Open(dir)
 	const contenders = 32
 	var won atomic.Int64
 	var wg sync.WaitGroup
@@ -180,6 +184,14 @@ func TestAcquireContendedOnce(t *testing.T) {
 	wg.Wait()
 	if won.Load() != 1 {
 		t.Fatalf("%d contenders won the lease, want exactly 1", won.Load())
+	}
+	entries, _ := os.ReadDir(dir)
+	if len(entries) != 1 || !strings.HasSuffix(entries[0].Name(), ".lease") {
+		names := make([]string, 0, len(entries))
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("dir holds %v, want exactly the lease file", names)
 	}
 }
 

@@ -169,13 +169,11 @@ const (
 // a caller can build one option list and reuse it across Build, Verify
 // and Flood.
 type options struct {
-	workers   int
-	seed      uint64
-	hasSeed   bool
-	failures  Failures
-	props     Properties
-	sparsify  check.Sparsify
-	prescreen check.Prescreen
+	workers  int
+	seed     uint64
+	hasSeed  bool
+	failures Failures
+	props    Properties
 }
 
 // Option configures Build, Verify or Flood. Options are applied in order;
@@ -183,8 +181,9 @@ type options struct {
 type Option func(*options)
 
 // WithWorkers sets the goroutine budget for the probe fan-out of Verify
-// (and IsLHG). n <= 0 means GOMAXPROCS — the default — and 1 forces the
-// serial path. The result is deterministic regardless of the budget.
+// and the delta verifiers. n <= 0 means GOMAXPROCS — the default — and 1
+// forces the serial path. The result is deterministic regardless of the
+// budget.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // WithSeed makes Build sample a random (seeded, reproducible) witness of
@@ -205,46 +204,18 @@ func WithFailures(f Failures) Option { return func(o *options) { o.failures = f 
 // never issues a max-flow probe.
 func WithProperties(p Properties) Option { return func(o *options) { o.props = p } }
 
-// WithSparsify toggles the sparse-certificate fast path of Verify and
-// IsLHG. It is on by default: on graphs dense enough that the certificate
-// pays for itself (m > check.SparsifyCutoff·k·n) the κ/λ max-flow probes
-// run on a Nagamochi–Ibaraki certificate of at most (δ+1)(n−1) edges
-// instead of the full edge set. The report is bit-identical either way —
-// the fast path changes no value and no verdict — so WithSparsify(false)
-// is purely an escape hatch (debugging, benchmarking the full pipeline).
-func WithSparsify(enabled bool) Option {
-	return func(o *options) {
-		if enabled {
-			o.sparsify = check.SparsifyAuto
-		} else {
-			o.sparsify = check.SparsifyOff
-		}
-	}
-}
-
-// WithPrescreen toggles the Monte Carlo cut prescreen of Verify and IsLHG.
-// It is on by default: on large graphs (n >= check.PrescreenCutoff) a few
-// seeded Karger contraction rounds run before the exact κ/λ sweeps and feed
-// them a certified cut upper bound plus a critical-node probe ordering.
-// Both only tighten early-exit limits and reorder probes, so the report is
-// bit-identical either way — WithPrescreen(false) is purely an escape
-// hatch, mirroring WithSparsify.
-func WithPrescreen(enabled bool) Option {
-	return func(o *options) {
-		if enabled {
-			o.prescreen = check.PrescreenAuto
-		} else {
-			o.prescreen = check.PrescreenOff
-		}
-	}
-}
-
 func applyOptions(opts []Option) options {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return o
+}
+
+// checkOptions collects the options that apply to a verification run.
+func checkOptions(opts []Option) check.Options {
+	o := applyOptions(opts)
+	return check.Options{Workers: o.workers, Props: o.props}
 }
 
 // Build constructs a graph of the given constraint for the pair (n,k):
@@ -412,13 +383,7 @@ func Verify(ctx context.Context, g *Graph, k int, opts ...Option) (*Report, erro
 		sp.SetAttr(trace.Int("k", int64(k)))
 	}
 	defer sp.End()
-	o := applyOptions(opts)
-	return check.VerifyCtx(ctx, g, k, check.Options{
-		Workers:   o.workers,
-		Props:     o.props,
-		Sparsify:  o.sparsify,
-		Prescreen: o.prescreen,
-	})
+	return check.Verify(ctx, g, k, checkOptions(opts))
 }
 
 // Screen runs the certified scale screen — the verification tier for
@@ -426,7 +391,7 @@ func Verify(ctx context.Context, g *Graph, k int, opts ...Option) (*Report, erro
 // the report is honest three-valued state: refuted (exact witness found),
 // confirmed (a sufficient exact check passed), or screened (linear checks,
 // Monte Carlo contraction cuts and sampled exact probes all passed without
-// exhaustively proving the property). See check.ScreenCtx.
+// exhaustively proving the property). See check.Screen.
 func Screen(ctx context.Context, g *Graph, k int, opt ScreenOptions) (*ScreenReport, error) {
 	ctx, sp := trace.StartRoot(ctx, "lhg.Screen")
 	if sp.Live() {
@@ -434,7 +399,7 @@ func Screen(ctx context.Context, g *Graph, k int, opt ScreenOptions) (*ScreenRep
 		sp.SetAttr(trace.Int("k", int64(k)))
 	}
 	defer sp.End()
-	return check.ScreenCtx(ctx, g, k, opt)
+	return check.Screen(ctx, g, k, opt)
 }
 
 // DeltaVerifier carries verification state across a churn stream: the
@@ -446,19 +411,13 @@ func Screen(ctx context.Context, g *Graph, k int, opt ScreenOptions) (*ScreenRep
 type DeltaVerifier = check.DeltaVerifier
 
 // NewDeltaVerifier runs one full verification of g against target k and
-// arms the incremental re-verification state. Of the options, WithWorkers,
-// WithProperties and WithSparsify apply (as in Verify); note that
-// property-selected runs always take the full-campaign path on Advance.
+// arms the incremental re-verification state. Of the options, WithWorkers
+// and WithProperties apply (as in Verify); note that property-selected
+// runs always take the full-campaign path on Advance.
 func NewDeltaVerifier(ctx context.Context, g *Graph, k int, opts ...Option) (*DeltaVerifier, error) {
 	ctx, sp := trace.StartRoot(ctx, "lhg.NewDeltaVerifier")
 	defer sp.End()
-	o := applyOptions(opts)
-	return check.NewDeltaVerifier(ctx, g, k, check.Options{
-		Workers:   o.workers,
-		Props:     o.props,
-		Sparsify:  o.sparsify,
-		Prescreen: o.prescreen,
-	})
+	return check.NewDeltaVerifier(ctx, g, k, checkOptions(opts))
 }
 
 // VerifyDelta is the one-shot form of DeltaVerifier.Advance: given a graph,
@@ -474,35 +433,17 @@ func VerifyDelta(ctx context.Context, g *Graph, prev *Report, d EdgeDelta, n int
 		sp.SetAttr(trace.Int("removed", int64(len(d.Removed))))
 	}
 	defer sp.End()
-	o := applyOptions(opts)
-	return check.VerifyDelta(ctx, g, prev, d, n, check.Options{
-		Workers:   o.workers,
-		Props:     o.props,
-		Sparsify:  o.sparsify,
-		Prescreen: o.prescreen,
-	})
-}
-
-// VerifyParallel computes the same exact Report as Verify with the probes
-// fanned across a pool of `workers` goroutines (workers <= 0 means
-// GOMAXPROCS).
-//
-// Deprecated: Use Verify with a context and WithWorkers:
-// lhg.Verify(ctx, g, k, lhg.WithWorkers(workers)).
-func VerifyParallel(g *Graph, k, workers int) (*Report, error) {
-	return Verify(context.Background(), g, k, WithWorkers(workers))
+	return check.VerifyDelta(ctx, g, prev, d, n, checkOptions(opts))
 }
 
 // IsLHG is the fast boolean check of the four mandatory properties
-// (early-exit max flows, no exact connectivity values). Cancellation is
-// honored as in Verify and surfaces as ctx.Err(). Of the options only
-// WithSparsify applies — the quick path is serial and always checks every
-// property.
-func IsLHG(ctx context.Context, g *Graph, k int, opts ...Option) (bool, error) {
+// (early-exit max flows, no exact connectivity values). It is serial and
+// always checks every property. Cancellation is honored as in Verify and
+// surfaces as ctx.Err().
+func IsLHG(ctx context.Context, g *Graph, k int) (bool, error) {
 	ctx, sp := trace.StartRoot(ctx, "lhg.IsLHG")
 	defer sp.End()
-	o := applyOptions(opts)
-	return check.QuickVerifyOpts(ctx, g, k, check.Options{Sparsify: o.sparsify, Prescreen: o.prescreen})
+	return check.QuickVerify(ctx, g, k, check.Options{})
 }
 
 // Flood runs a round-synchronous flood from source, by default in the
@@ -736,13 +677,4 @@ func ResetTrace() { trace.Reset() }
 // format (load in chrome://tracing or Perfetto).
 func WriteTraceJSON(w io.Writer) error {
 	return trace.WriteChromeTrace(w, trace.Snapshot())
-}
-
-// BuildVariant constructs a randomly sampled (seeded, reproducible)
-// witness of the K-TREE or K-DIAMOND constraint for (n,k).
-//
-// Deprecated: Use Build with a context and WithSeed:
-// lhg.Build(ctx, c, n, k, lhg.WithSeed(seed)).
-func BuildVariant(c Constraint, n, k int, seed uint64) (*Graph, error) {
-	return Build(context.Background(), c, n, k, WithSeed(seed))
 }

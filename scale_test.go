@@ -69,14 +69,15 @@ func TestScaleConnectivityExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !flow.IsKNodeConnected(g, 4) {
-		t.Fatal("K-DIAMOND(1000,4) must be 4-node-connected")
+	ctx := context.Background()
+	if ok, err := flow.IsKNodeConnected(ctx, g, 4); err != nil || !ok {
+		t.Fatalf("K-DIAMOND(1000,4) must be 4-node-connected (err %v)", err)
 	}
-	if !flow.IsKEdgeConnected(g, 4) {
-		t.Fatal("K-DIAMOND(1000,4) must be 4-link-connected")
+	if ok, err := flow.IsKEdgeConnected(ctx, g, 4); err != nil || !ok {
+		t.Fatalf("K-DIAMOND(1000,4) must be 4-link-connected (err %v)", err)
 	}
-	if flow.IsKNodeConnected(g, 5) {
-		t.Fatal("a 4-regular graph cannot be 5-connected")
+	if ok, err := flow.IsKNodeConnected(ctx, g, 5); err != nil || ok {
+		t.Fatalf("a 4-regular graph cannot be 5-connected (err %v)", err)
 	}
 }
 
